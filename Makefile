@@ -70,6 +70,10 @@ profsmoke:
 		-workers 8 -explain-analyze -profile-json $$tmp/parallel.json > $$tmp/parallel.txt; \
 	grep -q '^profile: ' $$tmp/serial.txt && grep -q '^profile: ' $$tmp/parallel.txt || \
 		{ echo "profsmoke: -explain-analyze printed no profile"; exit 1; }; \
+	$(GO) run ./cmd/ccsmine -data $$tmp/smoke.ccs -algo space -q 'max(price) <= 30' \
+		-explain-analyze > $$tmp/space.txt; \
+	grep -q '^levels:' $$tmp/space.txt || \
+		{ echo "profsmoke: -algo space -explain-analyze printed no per-level table"; exit 1; }; \
 	$(GO) run ./cmd/ccsprof $$tmp/serial.json $$tmp/parallel.json
 
 # ~40 seconds of fuzzing across the parser, the binary reader, the bitset

@@ -55,7 +55,7 @@ func run(args []string, out io.Writer) error {
 	push := fs.Bool("push", false, "push single-witness monotone succinct constraints (paper mode)")
 	names := fs.Bool("names", false, "print item names instead of IDs")
 	verbose := fs.Bool("v", false, "print per-level progress while mining")
-	progress := fs.Bool("progress", false, "write live per-level progress with elapsed time to stderr while mining")
+	progress := fs.Bool("progress", false, "write live per-level progress (one line as each level ends, with its duration) to stderr while mining")
 	stream := fs.Bool("stream", false, "stream the dataset from disk on every scan (bounded memory; binary format only)")
 	backendFlag := fs.String("backend", "auto", "TID-list representation of the vertical index: auto (choose by dataset density), dense, or compressed; answers are identical at every setting")
 	workers := fs.Int("workers", 0, "level-engine worker goroutines: 0 = GOMAXPROCS, 1 = serial; answers are identical at every setting")
@@ -132,7 +132,8 @@ func run(args []string, out io.Writer) error {
 		opts = append(opts, core.WithProfile(prof))
 	}
 	// -v and -progress share the single progress callback: WithProgress is
-	// last-wins, so both sinks live in one function.
+	// last-wins, so both sinks live in one function. The core calls it
+	// once per level record, as each level ends.
 	if *verbose || *progress {
 		v, p := *verbose, *progress
 		progStart := time.Now()
@@ -141,8 +142,8 @@ func run(args []string, out io.Writer) error {
 				fmt.Fprintf(out, "# %s %s level %d: %d candidates\n", e.Algorithm, e.Phase, e.Level, e.Candidates)
 			}
 			if p {
-				fmt.Fprintf(progressOut, "[%8.3fs] %s %s level %d: %d candidates\n",
-					time.Since(progStart).Seconds(), e.Algorithm, e.Phase, e.Level, e.Candidates)
+				fmt.Fprintf(progressOut, "[%8.3fs] %s %s level %d: %d candidates, %d kept, %.6fs\n",
+					time.Since(progStart).Seconds(), e.Algorithm, e.Phase, e.Level, e.Candidates, e.Kept, e.Duration.Seconds())
 			}
 		}))
 	}

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -91,5 +92,43 @@ func TestMineProfileJSON(t *testing.T) {
 	}
 	if _, ok := decoded["profile"]; !ok {
 		t.Fatalf("profiled -json run has no profile block: %s", out.String())
+	}
+}
+
+// TestMineProgressMatchesProfileLevels checks -progress and the profiler
+// read the same level records: one progress line per profile level, in the
+// same order, for every algorithm — including BMS**'s uncounted chi levels
+// and SolutionSpace.
+func TestMineProgressMatchesProfileLevels(t *testing.T) {
+	path := writeDataset(t, false)
+	dir := t.TempDir()
+	old := progressOut
+	defer func() { progressOut = old }()
+	for _, algo := range []string{"bms", "bms+", "bms++", "bms*", "bms**", "all", "space"} {
+		var prog, out bytes.Buffer
+		progressOut = &prog
+		profPath := filepath.Join(dir, "p.json")
+		err := run([]string{"-data", path, "-algo", algo, "-q", "sum(price) >= 1", "-progress",
+			"-supportfrac", "0.25", "-profile-json", profPath}, &out)
+		if err != nil {
+			t.Fatalf("%s: %v", algo, err)
+		}
+		raw, err := os.ReadFile(profPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rec obs.ProfileRecord
+		if err := json.Unmarshal(raw, &rec); err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimSpace(prog.String()), "\n")
+		if len(rec.Levels) == 0 || len(lines) != len(rec.Levels) {
+			t.Fatalf("%s: %d progress lines for %d profile levels:\n%s", algo, len(lines), len(rec.Levels), prog.String())
+		}
+		for i, lv := range rec.Levels {
+			if want := fmt.Sprintf(" %s level %d: %d candidates, %d kept,", lv.Phase, lv.Level, lv.Candidates, lv.Kept); !strings.Contains(lines[i], want) {
+				t.Errorf("%s: progress line %q does not match profile level %+v", algo, lines[i], lv)
+			}
+		}
 	}
 }

@@ -87,9 +87,6 @@ func NewScanCounter(db *DB) Counter { return counting.NewScanCounter(db) }
 // NewBitmapCounter returns the vertical bitset counter (the default).
 func NewBitmapCounter(db *DB) Counter { return counting.NewBitmapCounter(db) }
 
-// NewParallelCounter returns the worker-pool bitmap counter.
-func NewParallelCounter(db *DB, workers int) Counter { return counting.NewParallelCounter(db, workers) }
-
 // NewCachedBitmapCounter returns the vertical counter with a
 // prefix-intersection cache of at most cacheBytes bytes (<= 0 picks the
 // default budget): TID-lists of canonical prefixes persist across lattice
@@ -97,12 +94,6 @@ func NewParallelCounter(db *DB, workers int) Counter { return counting.NewParall
 // recomputing it.
 func NewCachedBitmapCounter(db *DB, cacheBytes int64) Counter {
 	return counting.NewCachedBitmapCounter(db, cacheBytes)
-}
-
-// NewParallelCounterCached returns the worker-pool counter sharing one
-// prefix-intersection cache across its workers.
-func NewParallelCounterCached(db *DB, workers int, cacheBytes int64) Counter {
-	return counting.NewParallelCounterCached(db, workers, cacheBytes)
 }
 
 // NewDiskScanCounter streams the dataset file on every scan (bounded

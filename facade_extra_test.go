@@ -77,7 +77,7 @@ func TestFacadeCountersAndSample(t *testing.T) {
 	for _, c := range []ccs.Counter{
 		ccs.NewScanCounter(db),
 		ccs.NewBitmapCounter(db),
-		ccs.NewParallelCounter(db, 2),
+		ccs.NewCachedBitmapCounter(db, 0),
 	} {
 		if c.NumTx() != db.NumTx() {
 			t.Fatalf("counter NumTx mismatch")

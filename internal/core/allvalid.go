@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"time"
 
 	"ccs/internal/constraint"
 	"ccs/internal/contingency"
@@ -33,43 +32,22 @@ func (m *Miner) AllValidContext(ctx context.Context, q *constraint.Conjunction) 
 	if err != nil {
 		return nil, err
 	}
-	const algo = "all"
-	startMine(algo)
-	ctl, release := m.newCtl(ctx)
-	defer release()
-	stats := Stats{}
-	l1 := m.frequentItems(split.AMMGF().Allowed)
-	cands := ctl.candgen(func() []itemset.Set { return pairs(l1, nil) })
-	stats.Candidates += len(cands)
-
-	supp := itemset.NewRegistry()
-	var answers []itemset.Set
-	var cause error
-	for level := 2; len(cands) > 0 && level <= m.res.maxLevel; level++ {
-		if cause = ctl.interrupted(&stats); cause != nil {
-			break
-		}
-		stats.Levels++
-		levelStart := time.Now()
-		m.report("AllValid", "levelwise", level, len(cands))
+	return m.run(ctx, "all", func(ctl *runCtl, res *Result) (cause, err error) {
+		stats := &res.Stats
+		l1 := m.frequentItems(split.AMMGF().Allowed)
+		supp := itemset.NewRegistry()
 		var suppLevel, answersLevel []itemset.Set
-		err := m.runLevel(ctl, &stats, levelSpec{
-			algo:  algo,
+		cause, err = m.levels(ctl, stats, levelLoop{
 			phase: "levelwise",
-			level: level,
-			cands: cands,
-			pre: func(c itemset.Set) shardVerdict {
-				if split.SatisfiesAMOther(m.cat, c) {
-					return keepSet
-				}
-				return dropSetAM
-			},
+			level: 2,
+			cands: ctl.candgen(func() []itemset.Set { return pairs(l1, nil) }),
+			pre:   m.amPre(split),
 			eval: func(s itemset.Set, t *contingency.Table) {
 				if !t.CTSupported(m.res.s, m.res.CTFraction) {
 					return
 				}
 				suppLevel = append(suppLevel, s)
-				if !m.correlated(&stats, t) {
+				if !m.correlated(stats, t) {
 					return
 				}
 				// exact validity: monotone and unclassified constraints are
@@ -78,29 +56,19 @@ func (m *Miner) AllValidContext(ctx context.Context, q *constraint.Conjunction) 
 					answersLevel = append(answersLevel, s)
 				}
 			},
+			commit: func(int) []itemset.Set {
+				for _, s := range suppLevel {
+					supp.Add(s)
+				}
+				res.Answers = append(res.Answers, answersLevel...)
+				next := ctl.candgen(func() []itemset.Set { return extend(suppLevel, l1, nil, supp) })
+				suppLevel, answersLevel = nil, nil
+				return next
+			},
 		})
-		if err != nil {
-			if cause = ctl.truncation(err); cause != nil {
-				stats.endLevel(levelStart)
-				break
-			}
-			return nil, err
-		}
-		for _, s := range suppLevel {
-			supp.Add(s)
-		}
-		answers = append(answers, answersLevel...)
-		cands = ctl.candgen(func() []itemset.Set { return extend(suppLevel, l1, nil, supp) })
-		stats.Candidates += len(cands)
-		stats.endLevel(levelStart)
-	}
-	itemset.SortSets(answers)
-	res := &Result{Answers: answers, Stats: stats}
-	if cause != nil {
-		truncate(res, cause)
-	}
-	recordMine(algo, res, ctl)
-	return res, nil
+		itemset.SortSets(res.Answers)
+		return cause, err
+	})
 }
 
 func satisfiesOther(split *constraint.Split, m *Miner, s itemset.Set) bool {

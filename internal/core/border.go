@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"ccs/internal/constraint"
+	"ccs/internal/contingency"
 	"ccs/internal/itemset"
 )
 
@@ -56,6 +57,12 @@ func (d *SpaceDescription) Contains(s itemset.Set) bool {
 // checked directly); within that space the solutions are the sets that are
 // also correlated and M-valid. The minimal ones form Lower; the sets with
 // no solution superset at the next level form Upper.
+//
+// SolutionSpace runs on the level engine like the other algorithms (it
+// honors WithWorkers, WithProfile and WithProgress) but has no partial
+// result: the upper border is only known once the sweep ends, so a
+// truncated description would be unsound. When the Miner's Budget runs out
+// it fails with an error wrapping ErrBudgetExceeded instead.
 func (m *Miner) SolutionSpace(q *constraint.Conjunction) (*SpaceDescription, error) {
 	split, err := q.Classify()
 	if err != nil {
@@ -65,82 +72,84 @@ func (m *Miner) SolutionSpace(q *constraint.Conjunction) (*SpaceDescription, err
 		return nil, fmt.Errorf("core: SolutionSpace requires anti-monotone or monotone constraints; %d constraint(s) are neither", len(split.Other))
 	}
 
-	ctl, release := m.newCtl(context.Background())
-	defer release()
 	desc := &SpaceDescription{}
-	stats := &desc.Stats
-	l1 := m.frequentItems(split.AMMGF().Allowed)
-	cands := pairs(l1, nil)
-	stats.Candidates += len(cands)
-
-	supp := itemset.NewRegistry()      // CT-supported ∧ AM-valid, feeds candidate generation
-	solutions := itemset.NewRegistry() // also correlated ∧ M-valid
-	var prevSolutions []itemset.Set    // solutions at the previous level
-
-	for level := 2; len(cands) > 0 && level <= m.res.maxLevel; level++ {
-		stats.Levels++
-		m.report("SolutionSpace", "levelwise", level, len(cands))
-		kept := cands[:0]
-		for _, c := range cands {
-			if split.SatisfiesAMOther(m.cat, c) {
-				kept = append(kept, c)
-			} else {
-				stats.PrunedByAM++
-			}
-		}
-		cands = kept
-		tables, err := m.countBatchCtl(ctl, stats, cands)
-		if err != nil {
-			return nil, err
-		}
+	res, err := m.run(context.Background(), "space", func(ctl *runCtl, res *Result) (cause, err error) {
+		stats := &res.Stats
+		l1 := m.frequentItems(split.AMMGF().Allowed)
+		supp := itemset.NewRegistry()      // CT-supported ∧ AM-valid, feeds candidate generation
+		solutions := itemset.NewRegistry() // also correlated ∧ M-valid
+		var prevSolutions []itemset.Set    // solutions at the previous level
 		var suppLevel, solLevel []itemset.Set
-		covered := map[string]bool{}
-		for i, t := range tables {
-			if !t.CTSupported(m.res.s, m.res.CTFraction) {
-				continue
-			}
-			supp.Add(cands[i])
-			suppLevel = append(suppLevel, cands[i])
-			if !m.correlated(stats, t) || !split.SatisfiesM(m.cat, cands[i]) {
-				continue
-			}
-			s := cands[i]
-			solLevel = append(solLevel, s)
-			solutions.Add(s)
-			// minimality: any solution subset disqualifies
-			minimal := true
-			s.ProperSubsets(func(sub itemset.Set) bool {
-				if solutions.Has(sub) {
-					minimal = false
-					return false
+		cause, err = m.levels(ctl, stats, levelLoop{
+			phase: "levelwise",
+			level: 2,
+			cands: ctl.candgen(func() []itemset.Set { return pairs(l1, nil) }),
+			pre:   m.amPre(split),
+			eval: func(s itemset.Set, t *contingency.Table) {
+				if !t.CTSupported(m.res.s, m.res.CTFraction) {
+					return
 				}
-				return true
-			})
-			if minimal {
-				desc.Lower = append(desc.Lower, s)
-			}
-			// mark the previous level's subsets as covered (non-maximal)
-			s.Subsets1(func(sub itemset.Set) bool {
-				if solutions.Has(sub) {
-					covered[sub.Key()] = true
+				suppLevel = append(suppLevel, s)
+				if m.correlated(stats, t) && split.SatisfiesM(m.cat, s) {
+					solLevel = append(solLevel, s)
 				}
-				return true
-			})
-		}
-		// previous-level solutions not covered by a solution at this level
-		// are maximal (the space is convex along chains, so a solution
-		// superset implies a direct one)
-		for _, s := range prevSolutions {
-			if !covered[s.Key()] {
-				desc.Upper = append(desc.Upper, s)
-			}
-		}
-		prevSolutions = solLevel
-		cands = extend(suppLevel, l1, nil, supp)
-		stats.Candidates += len(cands)
+			},
+			commit: func(int) []itemset.Set {
+				for _, s := range suppLevel {
+					supp.Add(s)
+				}
+				covered := map[string]bool{}
+				for _, s := range solLevel {
+					// minimality: any solution subset disqualifies (solutions
+					// still holds earlier levels only, and no set of this
+					// level is a proper subset of another)
+					minimal := true
+					s.ProperSubsets(func(sub itemset.Set) bool {
+						if solutions.Has(sub) {
+							minimal = false
+							return false
+						}
+						return true
+					})
+					if minimal {
+						desc.Lower = append(desc.Lower, s)
+					}
+					// mark the previous level's subsets as covered (non-maximal)
+					s.Subsets1(func(sub itemset.Set) bool {
+						if solutions.Has(sub) {
+							covered[sub.Key()] = true
+						}
+						return true
+					})
+				}
+				// previous-level solutions not covered by a solution at this
+				// level are maximal (the space is convex along chains, so a
+				// solution superset implies a direct one)
+				for _, s := range prevSolutions {
+					if !covered[s.Key()] {
+						desc.Upper = append(desc.Upper, s)
+					}
+				}
+				for _, s := range solLevel {
+					solutions.Add(s)
+				}
+				prevSolutions = solLevel
+				next := ctl.candgen(func() []itemset.Set { return extend(suppLevel, l1, nil, supp) })
+				suppLevel, solLevel = nil, nil
+				return next
+			},
+		})
+		// the final level's solutions are maximal by termination
+		desc.Upper = append(desc.Upper, prevSolutions...)
+		return cause, err
+	})
+	if err != nil {
+		return nil, err
 	}
-	// the final level's solutions are maximal by termination
-	desc.Upper = append(desc.Upper, prevSolutions...)
+	if res.Truncated {
+		return nil, res.Cause
+	}
+	desc.Stats = res.Stats
 	itemset.SortSets(desc.Lower)
 	itemset.SortSets(desc.Upper)
 	return desc, nil

@@ -118,8 +118,9 @@ type Stats struct {
 	// expensive mine counts more than a cheap one.
 	CellsCounted int64
 
-	// LevelDurations holds the wall-clock time of each lattice level
-	// visited, in visit order; len(LevelDurations) == Levels. Excluded
+	// LevelDurations holds the wall-clock window of each lattice level
+	// visited, in visit order; len(LevelDurations) == Levels. Each entry
+	// is the Duration of that level's record (ProgressEvent). Excluded
 	// from JSON — the server surfaces it as level_seconds.
 	LevelDurations []time.Duration `json:"-"`
 }
@@ -186,23 +187,39 @@ func WithWorkers(n int) Option {
 	return func(cfg *minerConfig) { cfg.workers = n }
 }
 
-// ProgressEvent reports one lattice level of work as it starts.
+// ProgressEvent is the record of one level, emitted once when the level
+// ends — committed or truncated. It is the one per-level record of a run:
+// Stats.LevelDurations, the levels metric and the profiler's level records
+// are fed from the same record, so every surface reports the same window
+// for a level (see DESIGN.md §13).
 type ProgressEvent struct {
-	// Algorithm is the running algorithm's name (e.g. "BMS++").
+	// Algorithm is the running algorithm's name (e.g. "BMS++"); levels of
+	// the shared baseline carry the name of the run they belong to.
 	Algorithm string
 	// Phase distinguishes multi-phase algorithms: "levelwise" for the
 	// downward search, "supp"/"chi" for BMS**'s phases, "sweep" for the
-	// upward sweep of BMS*.
+	// upward sweep of BMS*. BMS**'s "chi" levels evaluate stored tables
+	// without counting and are not counted in Stats.Levels.
 	Phase string
 	// Level is the itemset size being processed.
 	Level int
 	// Candidates is the number of candidate sets at this level after
 	// pruning by succinct constraints and candidate generation.
 	Candidates int
+	// Kept is the number of candidates that survived the level's
+	// pre-checks and were counted.
+	Kept int
+	// Cells is the number of contingency-table cells the level charged.
+	Cells int64
+	// Start is when the level's window opened; Duration is its length.
+	// The window runs from the level-boundary truncation check through the
+	// commit step, including the next level's candidate generation.
+	Start    time.Time
+	Duration time.Duration
 }
 
-// ProgressFunc observes mining progress. It is called synchronously from
-// the mining loop; keep it fast.
+// ProgressFunc observes mining progress, one call per level record. It is
+// called synchronously on the mining goroutine; keep it fast.
 type ProgressFunc func(ProgressEvent)
 
 // WithProgress installs a progress observer.
@@ -317,13 +334,6 @@ func extend(bases []itemset.Set, pool []itemset.Item, relevant func(itemset.Set)
 	}
 	itemset.SortSets(out)
 	return out
-}
-
-// report emits a progress event if an observer is installed.
-func (m *Miner) report(algorithm, phase string, level, candidates int) {
-	if m.progress != nil {
-		m.progress(ProgressEvent{Algorithm: algorithm, Phase: phase, Level: level, Candidates: candidates})
-	}
 }
 
 // correlated applies the chi-squared test at the resolved cutoff.

@@ -6,9 +6,6 @@ import (
 	"fmt"
 	"time"
 
-	"ccs/internal/contingency"
-	"ccs/internal/counting"
-	"ccs/internal/itemset"
 	"ccs/internal/obs"
 )
 
@@ -22,7 +19,10 @@ var ErrBudgetExceeded = errors.New("core: budget exceeded")
 // unlimited; the zero Budget imposes no limits at all. Limits are enforced
 // at level/batch granularity: when one trips, the run stops counting,
 // discards the level in flight, and returns the answers of the completed
-// levels with Result.Truncated set — it does not fail.
+// levels with Result.Truncated set — it does not fail. The one exception
+// is SolutionSpace, which fails with an error wrapping ErrBudgetExceeded:
+// its upper border is only known once the sweep ends, so a truncated
+// description would be unsound.
 type Budget struct {
 	// MaxWall caps the wall-clock time of the run. It is enforced through a
 	// derived context deadline, so a counter that honors cancellation stops
@@ -42,9 +42,10 @@ func WithBudget(b Budget) Option {
 	return func(cfg *minerConfig) { cfg.budget = b }
 }
 
-// runCtl carries one run's cancellation and budget state. Every algorithm
-// loop consults it at level boundaries (interrupted) and charges it per
-// counting batch (countBatch); the first cause observed is sticky.
+// runCtl carries one run's cancellation and budget state. The level
+// loop (Miner.levels) consults it at level boundaries (interrupted) and
+// the level engine charges it per level (runLevel); the first cause
+// observed is sticky.
 type runCtl struct {
 	ctx          context.Context
 	budget       Budget
@@ -52,23 +53,36 @@ type runCtl struct {
 	cells        int64     // contingency cells charged so far
 	cause        error
 
+	// algo is the run's metric label ("bms+"); name is the display name
+	// its level records carry ("BMS+").
+	algo, name string
 	// prof is the run's profiler; nil means profiling is off and every
 	// collection point reduces to one pointer-nil branch.
 	prof *obs.Profile
-	// sp, when non-nil, is the serial counting arena the next
-	// countBatchCtl call threads through the counter's context. Only the
-	// mining goroutine touches it (set before the call, cleared after).
-	sp *counting.ShardProf
-	// scratch holds the parallel level engine's reusable per-level
-	// buffers. A runCtl belongs to exactly one run, so reuse across its
-	// levels needs no synchronization beyond the engine's own barriers.
+	// scratch holds the level engine's reusable per-level buffers. A
+	// runCtl belongs to exactly one run, so reuse across its levels needs
+	// no synchronization beyond the engine's own barriers.
 	scratch levelScratch
 }
 
-// newCtl binds ctx and the miner's budget into a fresh control block.
-// release must be called when the run ends (it drops the MaxWall timer).
-func (m *Miner) newCtl(ctx context.Context) (ctl *runCtl, release context.CancelFunc) {
-	ctl = &runCtl{ctx: ctx, budget: m.budget, prof: m.prof}
+// displayNames maps each run's metric label to the algorithm name its
+// level records carry.
+var displayNames = map[string]string{
+	"bms":   "BMS",
+	"bms+":  "BMS+",
+	"bms++": "BMS++",
+	"bms*":  "BMS*",
+	"bms**": "BMS**",
+	"all":   "AllValid",
+	"space": "SolutionSpace",
+}
+
+// newCtl records the start of one run labelled algo and binds ctx and the
+// miner's budget into a fresh control block. release must be called when
+// the run ends (it drops the MaxWall timer).
+func (m *Miner) newCtl(ctx context.Context, algo string) (ctl *runCtl, release context.CancelFunc) {
+	startMine(algo)
+	ctl = &runCtl{ctx: ctx, budget: m.budget, algo: algo, name: displayNames[algo], prof: m.prof}
 	m.prof.SetWorkers(m.effectiveWorkers())
 	release = func() {}
 	if m.budget.MaxWall > 0 {
@@ -76,6 +90,25 @@ func (m *Miner) newCtl(ctx context.Context) (ctl *runCtl, release context.Cancel
 		ctl.ctx, release = context.WithDeadline(ctx, ctl.wallDeadline)
 	}
 	return ctl, release
+}
+
+// run executes body as one run labelled algo. body fills res.Answers and
+// res.Stats and returns the truncation cause (nil when the run completed)
+// or a genuine failure. A cause marks the result Truncated; a failure
+// returns no result and records nothing beyond the run's start.
+func (m *Miner) run(ctx context.Context, algo string, body func(ctl *runCtl, res *Result) (cause, err error)) (*Result, error) {
+	ctl, release := m.newCtl(ctx, algo)
+	defer release()
+	res := &Result{}
+	cause, err := body(ctl, res)
+	if err != nil {
+		return nil, err
+	}
+	if cause != nil {
+		res.Truncated, res.Cause = true, cause
+	}
+	recordMine(res, ctl)
+	return res, nil
 }
 
 // interrupted reports the run's truncation cause, or nil to keep going.
@@ -129,63 +162,4 @@ func (c *runCtl) truncation(err error) error {
 		return c.cause
 	}
 	return nil
-}
-
-// countBatchCtl builds tables for the batch under ctl: it charges the cell
-// budget, bails out when the run is interrupted, and uses the counter's
-// context-aware path when available so cancellation lands mid-batch.
-//
-// Batch ordering contract: every candidate generator (pairs, extend,
-// extendAny) sorts its output with itemset.SortSets before it reaches this
-// call, so sets that share a prefix arrive adjacent. The cached counting
-// engines rely on that adjacency — a sibling group hits the prefix
-// TID-list its first member materialized, and the parallel counter shards
-// the batch along those prefix runs — so any new generator must keep
-// emitting canonically sorted batches.
-func (m *Miner) countBatchCtl(ctl *runCtl, stats *Stats, sets []itemset.Set) ([]*contingency.Table, error) {
-	if len(sets) == 0 {
-		return nil, nil
-	}
-	for _, s := range sets {
-		ctl.cells += int64(1) << uint(s.Size())
-	}
-	if cause := ctl.interrupted(stats); cause != nil {
-		return nil, cause
-	}
-	stats.DBScans++
-	stats.SetsConsidered += len(sets)
-	cctx := ctl.ctx
-	if ctl.sp != nil {
-		cctx = counting.WithShardProf(cctx, ctl.sp)
-	}
-	if cc, ok := m.cnt.(counting.ContextCounter); ok && (cctx.Done() != nil || ctl.sp != nil) {
-		return cc.CountTablesContext(cctx, sets)
-	}
-	return m.cnt.CountTables(sets)
-}
-
-// truncate marks a result as cut short by cause.
-func truncate(res *Result, cause error) *Result {
-	res.Truncated = true
-	res.Cause = cause
-	return res
-}
-
-// BMSContext is BMS honoring ctx and the Miner's Budget; see the Result
-// fields Truncated and Cause for the partial-answer contract.
-func (m *Miner) BMSContext(ctx context.Context) (*Result, error) {
-	const algo = "bms"
-	startMine(algo)
-	ctl, release := m.newCtl(ctx)
-	defer release()
-	out, err := m.runBaseline(ctl, algo)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{Answers: out.sig, Stats: out.stats}
-	if out.cause != nil {
-		truncate(res, out.cause)
-	}
-	recordMine(algo, res, ctl)
-	return res, nil
 }

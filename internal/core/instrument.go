@@ -1,10 +1,6 @@
 package core
 
-import (
-	"time"
-
-	"ccs/internal/obs"
-)
+import "ccs/internal/obs"
 
 // Metric names exported by the mining core. Keep metric names as
 // package-level consts: the ccslint metriconst analyzer rejects computed
@@ -24,8 +20,9 @@ const (
 	// MetricCellsCountedTotal counts contingency-table cells charged to
 	// counting batches (2^k per k-set).
 	MetricCellsCountedTotal = "ccs_cells_counted_total"
-	// MetricShardsTotal counts candidate shards counted by the parallel
-	// level engine, by algorithm.
+	// MetricShardsTotal counts candidate shards counted by the level
+	// engine, by algorithm (a level counted on the mining goroutine is one
+	// shard).
 	MetricShardsTotal = "ccs_mine_shards_total"
 	// MetricShardSeconds observes the wall-clock duration of counting one
 	// candidate shard.
@@ -43,7 +40,7 @@ var (
 	minedLevels    = obs.Default().CounterVec(MetricLevelsTotal, "Lattice levels visited, by algorithm.", "algo")
 	minedCands     = obs.Default().CounterVec(MetricCandidatesTotal, "Candidate sets generated, by algorithm.", "algo")
 	countedCells   = obs.Default().CounterVec(MetricCellsCountedTotal, "Contingency-table cells counted (2^k per k-set), by algorithm.", "algo")
-	minedShards    = obs.Default().CounterVec(MetricShardsTotal, "Candidate shards counted by the parallel level engine, by algorithm.", "algo")
+	minedShards    = obs.Default().CounterVec(MetricShardsTotal, "Candidate shards counted by the level engine, by algorithm.", "algo")
 	shardSeconds   = obs.Default().Histogram(MetricShardSeconds, "Wall-clock seconds spent counting one candidate shard.", obs.SubMillisecondBuckets)
 	workersBusy    = obs.Default().Gauge(MetricWorkersBusy, "Level-engine workers currently counting a shard.")
 )
@@ -53,31 +50,17 @@ func startMine(algo string) { minesStarted.With(algo).Inc() }
 
 // recordMine records the outcome of one successful run: work totals from
 // its Stats, the cells its control block charged, and whether it completed
-// or was truncated. Failed runs (error return) record nothing beyond the
-// start, so started - completed - truncated counts hard failures.
-func recordMine(algo string, res *Result, ctl *runCtl) {
-	if ctl != nil {
-		countedCells.With(algo).Add(ctl.cells)
-		ctl.prof.Finish()
-	}
-	if res == nil {
-		return
-	}
-	if ctl != nil {
-		res.Stats.CellsCounted = ctl.cells
-	}
-	minedLevels.With(algo).Add(int64(res.Stats.Levels))
-	minedCands.With(algo).Add(int64(res.Stats.Candidates))
+// or was truncated. Failed runs (error return) record no outcome, so
+// started - completed - truncated counts hard failures. Levels are counted
+// as they close (closeLevel), not here.
+func recordMine(res *Result, ctl *runCtl) {
+	countedCells.With(ctl.algo).Add(ctl.cells)
+	ctl.prof.Finish()
+	res.Stats.CellsCounted = ctl.cells
+	minedCands.With(ctl.algo).Add(int64(res.Stats.Candidates))
 	if res.Truncated {
-		minesTruncated.With(algo).Inc()
+		minesTruncated.With(ctl.algo).Inc()
 	} else {
-		minesCompleted.With(algo).Inc()
+		minesCompleted.With(ctl.algo).Inc()
 	}
-}
-
-// endLevel appends the elapsed wall-clock time of one completed lattice
-// level; every loop that increments Stats.Levels pairs it with exactly one
-// endLevel call, so len(LevelDurations) == Levels on every Result.
-func (s *Stats) endLevel(start time.Time) {
-	s.LevelDurations = append(s.LevelDurations, time.Since(start))
 }

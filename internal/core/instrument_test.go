@@ -22,6 +22,13 @@ func TestLevelDurationsMatchLevels(t *testing.T) {
 		"BMS*":     func() (*Result, error) { return m.BMSStar(q) },
 		"BMS**":    func() (*Result, error) { return m.BMSStarStar(q, StarStarOptions{}) },
 		"AllValid": func() (*Result, error) { return m.AllValid(q) },
+		"SolutionSpace": func() (*Result, error) {
+			desc, err := m.SolutionSpace(q)
+			if err != nil {
+				return nil, err
+			}
+			return &Result{Answers: desc.Lower, Stats: desc.Stats}, nil
+		},
 	}
 	for name, run := range runs {
 		res, err := run()

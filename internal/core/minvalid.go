@@ -3,12 +3,10 @@ package core
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"ccs/internal/constraint"
 	"ccs/internal/contingency"
 	"ccs/internal/itemset"
-	"ccs/internal/obs"
 )
 
 // BMSStar computes MINVALID(Q) naively (the paper's Figure F): run the
@@ -33,46 +31,33 @@ func (m *Miner) BMSStarContext(ctx context.Context, q *constraint.Conjunction) (
 	if split.HasUnclassified() {
 		return nil, fmt.Errorf("core: BMS* requires anti-monotone or monotone constraints; %d constraint(s) are neither", len(split.Other))
 	}
-	const algo = "bms*"
-	startMine(algo)
-	ctl, release := m.newCtl(ctx)
-	defer release()
-	out, err := m.runBaseline(ctl, algo)
-	if err != nil {
-		return nil, err
-	}
-	stats := out.stats
-
-	answers := itemset.NewRegistry()
-	// Seeds for the upward sweep: minimal correlated sets that satisfy the
-	// anti-monotone constraints but fail a monotone one. Sets failing an
-	// anti-monotone constraint are discarded outright — no superset can be
-	// valid.
-	var seeds []itemset.Set
-	for _, s := range out.sig {
-		if !split.SatisfiesAM(m.cat, s) {
-			continue
-		}
-		if split.SatisfiesM(m.cat, s) {
-			answers.Add(s)
-		} else {
-			seeds = append(seeds, s)
-		}
-	}
-
-	cause := out.cause
-	if cause == nil {
-		cause, err = m.sweepUp(ctl, &stats, split, seeds, answers)
+	return m.run(ctx, "bms*", func(ctl *runCtl, res *Result) (cause, err error) {
+		sig, cause, err := m.minimalCorrelated(ctl, &res.Stats, nil, nil)
 		if err != nil {
 			return nil, err
 		}
-	}
-	res := &Result{Answers: answers.Sets(), Stats: stats}
-	if cause != nil {
-		truncate(res, cause)
-	}
-	recordMine(algo, res, ctl)
-	return res, nil
+		answers := itemset.NewRegistry()
+		// Seeds for the upward sweep: minimal correlated sets that satisfy
+		// the anti-monotone constraints but fail a monotone one. Sets
+		// failing an anti-monotone constraint are discarded outright — no
+		// superset can be valid.
+		var seeds []itemset.Set
+		for _, s := range sig {
+			if !split.SatisfiesAM(m.cat, s) {
+				continue
+			}
+			if split.SatisfiesM(m.cat, s) {
+				answers.Add(s)
+			} else {
+				seeds = append(seeds, s)
+			}
+		}
+		if cause == nil {
+			cause, err = m.sweepUp(ctl, &res.Stats, split, seeds, answers)
+		}
+		res.Answers = answers.Sets()
+		return cause, err
+	})
 }
 
 // sweepUp grows the seed sets (correlated, CT-supported, AM-valid, not yet
@@ -85,25 +70,22 @@ func (m *Miner) BMSStarContext(ctx context.Context, q *constraint.Conjunction) (
 //   - a set containing an already-found answer cannot be minimal valid and
 //     is dropped together with its supersets;
 //   - a set failing an anti-monotone constraint is dropped likewise.
-func (m *Miner) sweepUp(ctl *runCtl, stats *Stats, split *constraint.Split, seeds []itemset.Set, answers *itemset.Registry) (cause error, err error) {
-	pool := m.frequentItems(split.AMMGF().Allowed)
-	// group seeds by level so the sweep proceeds smallest-first
-	byLevel := map[int][]itemset.Set{}
-	maxSeed := 0
-	for _, s := range seeds {
-		byLevel[s.Size()] = append(byLevel[s.Size()], s)
-		if s.Size() > maxSeed {
-			maxSeed = s.Size()
-		}
-	}
+//
+// Seeds of different sizes join the sweep when it reaches their level, so
+// the sweep continues through an empty frontier while larger seeds are
+// still pending.
+func (m *Miner) sweepUp(ctl *runCtl, stats *Stats, split *constraint.Split, seeds []itemset.Set, answers *itemset.Registry) (cause, err error) {
 	if len(seeds) == 0 {
 		return nil, nil
 	}
-	minSeed := maxSeed
-	for k := range byLevel {
-		if k < minSeed {
-			minSeed = k
-		}
+	pool := m.frequentItems(split.AMMGF().Allowed)
+	// group seeds by level so the sweep proceeds smallest-first
+	byLevel := map[int][]itemset.Set{}
+	minSeed, maxSeed := seeds[0].Size(), 0
+	for _, s := range seeds {
+		byLevel[s.Size()] = append(byLevel[s.Size()], s)
+		minSeed = min(minSeed, s.Size())
+		maxSeed = max(maxSeed, s.Size())
 	}
 
 	frontier := itemset.NewRegistry() // NOTSIG of the sweep: in-space, AM-valid, M-invalid
@@ -112,74 +94,64 @@ func (m *Miner) sweepUp(ctl *runCtl, stats *Stats, split *constraint.Split, seed
 		frontier.Add(s)
 		frontierLevel = append(frontierLevel, s)
 	}
-	for level := minSeed; len(frontierLevel) > 0 || level < maxSeed; level++ {
-		if level+1 > m.res.maxLevel {
-			break
+	frontierSize := minSeed
+	// next generates the candidates of the given size, none past MaxLevel.
+	next := func(size int) []itemset.Set {
+		if size > m.res.maxLevel {
+			return nil
 		}
-		if cause := ctl.interrupted(stats); cause != nil {
-			return cause, nil
-		}
-		stats.Levels++
-		levelStart := time.Now()
-		cands := ctl.candgen(func() []itemset.Set { return extendAny(frontierLevel, pool) })
-		m.report("BMS*", "sweep", level+1, len(cands))
-		// new seeds arriving at the next level join the frontier directly
-		// (they are already known correlated and CT-supported)
-		stats.Candidates += len(cands)
-
-		var answersLevel, frontierNew []itemset.Set
-		err := m.runLevel(ctl, stats, levelSpec{
-			algo:  "bms*",
-			phase: "sweep",
-			level: level + 1,
-			cands: cands,
-			// drop candidates that fail AM constraints or contain an answer
-			// (answers is read-only until the level commits, so the check is
-			// safe to run concurrently)
-			pre: func(c itemset.Set) shardVerdict {
-				if answers.ContainsSubsetOf(c) {
-					return dropSet
-				}
-				if !split.SatisfiesAMOther(m.cat, c) {
-					return dropSetAM
-				}
-				return keepSet
-			},
-			eval: func(s itemset.Set, t *contingency.Table) {
-				if !t.CTSupported(m.res.s, m.res.CTFraction) {
-					return
-				}
-				if split.SatisfiesM(m.cat, s) {
-					answersLevel = append(answersLevel, s)
-				} else {
-					frontierNew = append(frontierNew, s)
-				}
-			},
-		})
-		if err != nil {
-			if cause := ctl.truncation(err); cause != nil {
-				stats.endLevel(levelStart)
-				return cause, nil
-			}
-			return nil, err
-		}
-		for _, s := range answersLevel {
-			answers.Add(s)
-		}
-		frontierLevel = frontierLevel[:0]
-		for _, s := range frontierNew {
-			if frontier.Add(s) {
-				frontierLevel = append(frontierLevel, s)
-			}
-		}
-		for _, s := range byLevel[level+1] {
-			if !answers.ContainsSubsetOf(s) && frontier.Add(s) {
-				frontierLevel = append(frontierLevel, s)
-			}
-		}
-		stats.endLevel(levelStart)
+		return ctl.candgen(func() []itemset.Set { return extendAny(frontierLevel, pool) })
 	}
-	return nil, nil
+	var answersLevel, frontierNew []itemset.Set
+	return m.levels(ctl, stats, levelLoop{
+		phase: "sweep",
+		level: minSeed + 1,
+		cands: next(minSeed + 1),
+		// drop candidates that fail AM constraints or contain an answer
+		// (answers is read-only until the level commits, so the check is
+		// safe to run concurrently)
+		pre: func(c itemset.Set) shardVerdict {
+			if answers.ContainsSubsetOf(c) {
+				return dropSet
+			}
+			if !split.SatisfiesAMOther(m.cat, c) {
+				return dropSetAM
+			}
+			return keepSet
+		},
+		eval: func(s itemset.Set, t *contingency.Table) {
+			if !t.CTSupported(m.res.s, m.res.CTFraction) {
+				return
+			}
+			if split.SatisfiesM(m.cat, s) {
+				answersLevel = append(answersLevel, s)
+			} else {
+				frontierNew = append(frontierNew, s)
+			}
+		},
+		commit: func(level int) []itemset.Set {
+			for _, s := range answersLevel {
+				answers.Add(s)
+			}
+			frontierLevel = frontierLevel[:0]
+			for _, s := range frontierNew {
+				if frontier.Add(s) {
+					frontierLevel = append(frontierLevel, s)
+				}
+			}
+			// new seeds arriving at this level join the frontier directly
+			// (they are already known correlated and CT-supported)
+			for _, s := range byLevel[level] {
+				if !answers.ContainsSubsetOf(s) && frontier.Add(s) {
+					frontierLevel = append(frontierLevel, s)
+				}
+			}
+			frontierSize = level
+			answersLevel, frontierNew = nil, nil
+			return next(level + 1)
+		},
+		more: func() bool { return len(frontierLevel) > 0 || frontierSize < maxSeed },
+	})
 }
 
 // extendAny returns the deduplicated one-item extensions of the bases — the
@@ -255,169 +227,90 @@ func (m *Miner) BMSStarStarContext(ctx context.Context, q *constraint.Conjunctio
 		return nil, fmt.Errorf("core: BMS** requires anti-monotone or monotone constraints; %d constraint(s) are neither", len(split.Other))
 	}
 
-	const algo = "bms**"
-	startMine(algo)
-	ctl, release := m.newCtl(ctx)
-	defer release()
-	stats := Stats{}
-	amAllowed := split.AMMGF().Allowed
-	var witness constraint.ItemFilter
-	if opts.PushMonotoneSuccinct {
-		if ws := split.MMGF().Witnesses; len(ws) == 1 {
-			witness = ws[0]
-		}
-	}
+	return m.run(ctx, "bms**", func(ctl *runCtl, res *Result) (cause, err error) {
+		stats := &res.Stats
+		l1 := m.frequentItems(split.AMMGF().Allowed)
+		cands, relevant := m.firstPairs(ctl, l1, pushedWitness(split, opts.PushMonotoneSuccinct))
 
-	l1 := m.frequentItems(amAllowed)
-	var cands []itemset.Set
-	var relevant func(itemset.Set) bool
-	if witness != nil {
-		var plus, minus []itemset.Item
-		for _, i := range l1 {
-			if witness(m.cat.Info(i)) {
-				plus = append(plus, i)
-			} else {
-				minus = append(minus, i)
-			}
+		// Phase 1: SUPP levels — CT-supported and AM-valid, no chi-squared
+		// test. The statistic is computed while the table is hot but only
+		// entered into the SUPP store once the level commits.
+		type suppLevel struct {
+			sets []itemset.Set
+			chis []float64
 		}
-		cands = ctl.candgen(func() []itemset.Set { return pairs(plus, minus) })
-		inPlus := make(map[itemset.Item]bool, len(plus))
-		for _, i := range plus {
-			inPlus[i] = true
-		}
-		relevant = func(s itemset.Set) bool {
-			for _, i := range s {
-				if inPlus[i] {
-					return true
-				}
-			}
-			return false
-		}
-	} else {
-		cands = ctl.candgen(func() []itemset.Set { return pairs(l1, nil) })
-	}
-	stats.Candidates += len(cands)
-
-	// Phase 1: SUPP levels — CT-supported and AM-valid, no chi-squared.
-	type suppLevel struct {
-		sets   []itemset.Set
-		tables []int // index into allTables
-	}
-	var levels []suppLevel
-	var allTables []*tableEntry
-	var cause error
-	supp := itemset.NewRegistry()
-	for level := 2; len(cands) > 0 && level <= m.res.maxLevel; level++ {
-		if cause = ctl.interrupted(&stats); cause != nil {
-			break
-		}
-		stats.Levels++
-		levelStart := time.Now()
-		m.report("BMS**", "supp", level, len(cands))
-		// The chi-squared statistic is computed here, while the table is
-		// hot, but buffered with the level's sets and only entered into the
-		// SUPP store once the level commits.
-		var lvSets []itemset.Set
-		var lvChis []float64
-		err := m.runLevel(ctl, &stats, levelSpec{
-			algo:  algo,
+		var levels []suppLevel
+		var cur suppLevel
+		supp := itemset.NewRegistry()
+		cause, err = m.levels(ctl, stats, levelLoop{
 			phase: "supp",
-			level: level,
+			level: 2,
 			cands: cands,
-			pre: func(c itemset.Set) shardVerdict {
-				if split.SatisfiesAMOther(m.cat, c) {
-					return keepSet
-				}
-				return dropSetAM
-			},
+			pre:   m.amPre(split),
 			eval: func(s itemset.Set, t *contingency.Table) {
 				if !t.CTSupported(m.res.s, m.res.CTFraction) {
 					return
 				}
-				lvSets = append(lvSets, s)
-				lvChis = append(lvChis, t.ChiSquared())
+				cur.sets = append(cur.sets, s)
+				cur.chis = append(cur.chis, t.ChiSquared())
+			},
+			commit: func(int) []itemset.Set {
+				for _, s := range cur.sets {
+					supp.Add(s)
+				}
+				levels = append(levels, cur)
+				next := ctl.candgen(func() []itemset.Set { return extend(cur.sets, l1, relevant, supp) })
+				cur = suppLevel{}
+				return next
 			},
 		})
 		if err != nil {
-			if cause = ctl.truncation(err); cause != nil {
-				stats.endLevel(levelStart)
-				break
-			}
 			return nil, err
 		}
-		lv := suppLevel{sets: lvSets}
-		for i, s := range lvSets {
-			supp.Add(s)
-			allTables = append(allTables, &tableEntry{set: s, chi: lvChis[i]})
-			lv.tables = append(lv.tables, len(allTables)-1)
-		}
-		levels = append(levels, lv)
-		cands = ctl.candgen(func() []itemset.Set { return extend(lv.sets, l1, relevant, supp) })
-		stats.Candidates += len(cands)
-		stats.endLevel(levelStart)
-	}
 
-	// Phase 2: bottom-up chi-squared + monotone sweep over the SUPP
-	// levels. NOTSIG holds supported sets that are not yet answers; a
-	// set is examined only if its relevant subsets are all in NOTSIG.
-	notsig := itemset.NewRegistry()
-	var answers []itemset.Set
-	for li, lv := range levels {
-		if cause == nil {
-			if cause = ctl.interrupted(&stats); cause != nil {
-				break
-			}
-		}
-		m.report("BMS**", "chi", li+2, len(lv.sets))
-		// Phase 2 never recounts, so its levels profile as pure evaluation.
-		lp := ctl.prof.StartLevel("chi", li+2, len(lv.sets))
-		var chiStart time.Time
-		if lp != nil {
-			chiStart = time.Now()
-		}
-		for i, s := range lv.sets {
-			if li > 0 { // level-2 sets (li == 0) are always examined
-				ok := true
-				s.Subsets1(func(sub itemset.Set) bool {
-					if relevant != nil && !relevant(sub) {
-						return true
-					}
-					if !notsig.Has(sub) {
-						ok = false
-						return false
-					}
-					return true
-				})
-				if !ok {
-					continue
+		// Phase 2: bottom-up chi-squared + monotone sweep over the SUPP
+		// levels. NOTSIG holds supported sets that are not yet answers; a
+		// set is examined only if its relevant subsets are all in NOTSIG.
+		// Phase 2 never recounts, so its levels record as pure evaluation.
+		notsig := itemset.NewRegistry()
+		for li, lv := range levels {
+			if cause == nil {
+				if cause = ctl.interrupted(stats); cause != nil {
+					break
 				}
 			}
-			entry := allTables[lv.tables[i]]
-			stats.ChiSquaredTests++
-			if entry.chi >= m.res.cutoff && split.SatisfiesM(m.cat, s) {
-				answers = append(answers, s)
-			} else {
-				notsig.Add(s)
-			}
+			m.evalLevel(ctl, "chi", li+2, len(lv.sets), func() {
+				for i, s := range lv.sets {
+					if li > 0 && !allSubsetsIn(s, relevant, notsig) { // level-2 sets are always examined
+						continue
+					}
+					stats.ChiSquaredTests++
+					if lv.chis[i] >= m.res.cutoff && split.SatisfiesM(m.cat, s) {
+						res.Answers = append(res.Answers, s)
+					} else {
+						notsig.Add(s)
+					}
+				}
+			})
 		}
-		if lp != nil {
-			observePart(lp, obs.PhaseEval, time.Since(chiStart), 0)
-			lp.SetKept(len(lv.sets))
-			lp.End()
-		}
-	}
-	itemset.SortSets(answers)
-	res := &Result{Answers: answers, Stats: stats}
-	if cause != nil {
-		truncate(res, cause)
-	}
-	recordMine(algo, res, ctl)
-	return res, nil
+		itemset.SortSets(res.Answers)
+		return cause, nil
+	})
 }
 
-// tableEntry caches the statistic of a phase-1 table so phase 2 does not
-// recount the database.
-type tableEntry struct {
-	set itemset.Set
-	chi float64
+// allSubsetsIn reports whether every (|s|-1)-subset of s with relevant
+// true (nil = every subset) is in reg.
+func allSubsetsIn(s itemset.Set, relevant func(itemset.Set) bool, reg *itemset.Registry) bool {
+	ok := true
+	s.Subsets1(func(sub itemset.Set) bool {
+		if relevant != nil && !relevant(sub) {
+			return true
+		}
+		if !reg.Has(sub) {
+			ok = false
+			return false
+		}
+		return true
+	})
+	return ok
 }

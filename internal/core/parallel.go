@@ -15,9 +15,11 @@ import (
 // This file implements the sharded, pipelined level engine every
 // level-wise algorithm runs on (see DESIGN.md §10 and §14). One lattice
 // level's work — anti-monotone pre-checks, counting, and statistical
-// evaluation — is described by a levelSpec and executed by runLevel. With
-// Workers <= 1 (or a counter that cannot count concurrently) runLevel is
-// the exact serial path the algorithms always had; with more workers the
+// evaluation — is executed by runLevel, which the level loop
+// (Miner.levels in level.go) calls once per level. The serial path is the
+// one-shard case of the engine: with Workers <= 1 (or a small batch, or a
+// counter that cannot count concurrently) the batch is counted on the
+// mining goroutine without building a shard plan. With more workers the
 // candidate batch is sharded by the cost model (counting.PlanShards): a
 // worker pool counts shards in longest-first dispatch order while the
 // mining goroutine evaluates finished shards in index order, claiming and
@@ -40,32 +42,6 @@ const (
 	// anti-monotone constraint; counted in Stats.PrunedByAM.
 	dropSetAM
 )
-
-// levelSpec describes one lattice level's batched work.
-type levelSpec struct {
-	// algo labels the shard metrics; use the same lowercase name passed to
-	// startMine.
-	algo string
-	// phase and level label the profiler's per-level records (same values
-	// as the ProgressEvent the level reports); unused when profiling is
-	// off.
-	phase string
-	level int
-	// cands is the level's candidate batch in canonical order
-	// (itemset.SortSets) — the order the prefix-aligned shards and the
-	// evaluation sequence both rely on.
-	cands []itemset.Set
-	// pre screens a candidate before counting; nil keeps every candidate.
-	// It must be a pure function of the candidate (it runs concurrently
-	// and its verdicts must not depend on evaluation order).
-	pre func(itemset.Set) shardVerdict
-	// eval consumes one counted candidate. Calls arrive strictly in
-	// canonical batch order on the mining goroutine, but — because a level
-	// in flight can still be discarded by cancellation — eval must only
-	// write level-local state that the caller commits after runLevel
-	// returns nil.
-	eval func(s itemset.Set, t *contingency.Table)
-}
 
 // minParallelCands is the smallest batch worth even pricing for shards;
 // below it the plan is always a single shard and the serial path is
@@ -165,85 +141,158 @@ func (s *levelScratch) profBuf(nShards int) []*counting.ShardProf {
 	return out
 }
 
-// runLevel executes one level under ctl. Its error contract matches
-// countBatchCtl: callers classify a non-nil error with ctl.truncation and
-// discard the level in flight. On success every kept candidate has been
-// evaluated exactly once, in canonical order.
-func (m *Miner) runLevel(ctl *runCtl, stats *Stats, spec levelSpec) error {
+// runLevel executes one level's batch under ctl: pre-check, budget
+// charge, counting, and in-order evaluation. Its error contract: callers
+// classify a non-nil error with ctl.truncation and discard the level in
+// flight. On success every kept candidate has been evaluated exactly once,
+// in canonical order, and lv carries the kept count.
+//
+// A level is counted as a shard plan. With one worker (or a batch below
+// minParallelCands, or a counter that cannot count concurrently) no plan
+// is built and the batch is one shard counted on this goroutine — the
+// exact serial path. Otherwise the cost model plans shards; a plan that
+// collapses to one shard takes the same on-goroutine path, and only a
+// multi-shard plan runs the worker pipeline (countPipelined).
+func (m *Miner) runLevel(ctl *runCtl, stats *Stats, lv *levelRec, cands []itemset.Set, loop *levelLoop) error {
+	lp := lv.prof
 	workers := m.effectiveWorkers()
-	if workers > 1 && len(spec.cands) >= minParallelCands {
-		if sc, ok := m.cnt.(counting.ShardCounter); ok {
-			return m.runLevelParallel(ctl, stats, spec, sc, workers)
-		}
+	sc, canShard := m.cnt.(counting.ShardCounter)
+	if !canShard || len(cands) < minParallelCands {
+		workers = 1
 	}
-	return m.runLevelSerial(ctl, stats, spec)
-}
-
-// runLevelSerial is the exact single-threaded path: pre-check, one batched
-// count, in-order evaluation. When profiling is on, the three stages are
-// timed on this goroutine and the whole batch reports as one shard
-// (worker 0), so serial and parallel profiles share a schema.
-func (m *Miner) runLevelSerial(ctl *runCtl, stats *Stats, spec levelSpec) error {
-	lp, cells0 := ctl.startLevel(spec)
-	prof := lp != nil
 	var t0 time.Time
 	var a0 int64
-	if prof {
+	if lp != nil {
 		t0, a0 = time.Now(), obs.AllocBytes()
 	}
-	kept := spec.cands
-	if spec.pre != nil {
-		kept = spec.cands[:0]
-		for _, c := range spec.cands {
-			switch spec.pre(c) {
-			case keepSet:
-				kept = append(kept, c)
-			case dropSetAM:
-				stats.PrunedByAM++
+	kept := ctl.precheck(stats, cands, loop.pre, workers)
+	lv.ev.Kept = len(kept)
+
+	// Settle the budget for the whole level before counting anything: the
+	// same charge, trip point and cause at every worker count.
+	for _, s := range kept {
+		ctl.cells += int64(1) << uint(s.Size())
+	}
+	if lp != nil {
+		observePart(lp, obs.PhasePrecheck, time.Since(t0), obs.AllocBytes()-a0)
+	}
+	if len(kept) == 0 {
+		return nil
+	}
+	if cause := ctl.interrupted(stats); cause != nil {
+		return cause
+	}
+	stats.DBScans++
+	stats.SetsConsidered += len(kept)
+
+	var cost int64
+	if workers > 1 {
+		plan := counting.CostModelOf(m.cnt).PlanShards(kept, workers)
+		if len(plan.Shards) > 1 {
+			return m.countPipelined(ctl, lp, sc, kept, plan, workers, loop.eval)
+		}
+		// The whole level is worth less than one shard budget: the plan
+		// says parallelism cannot pay here.
+		cost = plan.Total
+	}
+	return m.countInline(ctl, lp, kept, cost, loop.eval)
+}
+
+// precheck screens cands through pre (nil keeps every candidate),
+// compacting the survivors in place and charging AM drops to
+// Stats.PrunedByAM. With several workers the verdicts are computed over
+// coarse spans concurrently; the compaction always runs on this goroutine
+// in left-to-right order, so kept and PrunedByAM are identical at every
+// worker count.
+func (c *runCtl) precheck(stats *Stats, cands []itemset.Set, pre func(itemset.Set) shardVerdict, workers int) []itemset.Set {
+	if pre == nil {
+		return cands
+	}
+	var verdicts []shardVerdict
+	if workers > 1 {
+		verdicts = c.scratch.verdictBuf(len(cands))
+		spans := evenSpans(len(cands), workers*preSpansPerWorker)
+		runPool(workers, len(spans), func(i int) {
+			for j := spans[i][0]; j < spans[i][1]; j++ {
+				verdicts[j] = pre(cands[j])
 			}
+		})
+	}
+	kept := cands[:0]
+	for j, s := range cands {
+		var v shardVerdict
+		if verdicts != nil {
+			v = verdicts[j]
+		} else {
+			v = pre(s)
+		}
+		switch v {
+		case keepSet:
+			kept = append(kept, s)
+		case dropSetAM:
+			stats.PrunedByAM++
 		}
 	}
+	return kept
+}
+
+// countInline counts kept as one shard on the mining goroutine and
+// evaluates it in order: the serial path, and the answer to a plan that
+// collapsed to one shard. It allocates nothing beyond the counter's own
+// tables. cost is the plan's estimate for the batch; 0 means no plan was
+// built, and the profiler (only) prices the batch itself.
+func (m *Miner) countInline(ctl *runCtl, lp *obs.LevelProf, kept []itemset.Set, cost int64, eval func(itemset.Set, *contingency.Table)) error {
+	cctx := ctl.ctx
 	var sp *counting.ShardProf
-	if prof {
-		observePart(lp, obs.PhasePrecheck, time.Since(t0), obs.AllocBytes()-a0)
-		sp = &counting.ShardProf{}
-		ctl.sp = sp
+	var t0 time.Time
+	var a0 int64
+	if lp != nil {
+		sp = ctl.scratch.profBuf(1)[0]
+		cctx = counting.WithShardProf(cctx, sp)
 		t0, a0 = time.Now(), obs.AllocBytes()
 	}
-	tables, err := m.countBatchCtl(ctl, stats, kept)
-	if prof {
-		ctl.sp = nil
+	var tables []*contingency.Table
+	var err error
+	if cc, ok := m.cnt.(counting.ContextCounter); ok {
+		tables, err = cc.CountTablesContext(cctx, kept)
+	} else {
+		tables, err = m.cnt.CountTables(kept)
+	}
+	minedShards.With(ctl.algo).Inc()
+	if lp != nil {
 		d := time.Since(t0)
 		observePart(lp, obs.PhaseCount, d, obs.AllocBytes()-a0)
 		if sp.Sets.Load() > 0 {
-			lp.AddShard(shardStat(0, d, counting.CostModelOf(m.cnt).BatchCost(kept), sp))
+			if cost == 0 {
+				cost = counting.CostModelOf(m.cnt).BatchCost(kept)
+			}
+			lp.AddShard(shardStat(0, d, cost, sp))
+			shardSeconds.Observe(d.Seconds())
 		}
 	}
 	if err != nil {
-		ctl.endLevel(lp, len(kept), cells0)
 		return err
 	}
-	if prof {
+	if lp != nil {
 		t0, a0 = time.Now(), obs.AllocBytes()
 	}
 	for i, t := range tables {
-		spec.eval(kept[i], t)
+		eval(kept[i], t)
 	}
-	if prof {
+	if lp != nil {
 		observePart(lp, obs.PhaseEval, time.Since(t0), obs.AllocBytes()-a0)
 	}
-	ctl.endLevel(lp, len(kept), cells0)
 	return nil
 }
 
-// runLevelParallel shards the batch by estimated counting cost and
-// pipelines counting against evaluation. The budget is settled exactly as
-// in the serial path — the whole level's cells are charged and the trip
-// decision taken before any table is built or evaluated — so budget
-// truncation is deterministic across worker counts. Cancellation is
-// observed per shard (each counting call polls ctl.ctx); any shard error
-// discards the level whole, after the end-of-level barrier, which
-// preserves the whole-level prefix soundness guarantee of Result.Answers.
+// countPipelined counts a multi-shard plan on the worker pool and
+// pipelines counting against evaluation. runLevel has already settled the
+// budget — the whole level's cells are charged and the trip decision
+// taken before any table is built or evaluated — so budget truncation is
+// deterministic across worker counts. Cancellation is observed per shard
+// (each counting call polls ctl.ctx); any shard error discards the level
+// whole, after the end-of-level barrier, which preserves the whole-level
+// prefix soundness guarantee of Result.Answers.
 //
 // Three design points kill the hand-off overhead the old sibling-group
 // engine measured (26-29% stall, ≪100µs shards, two cache-lock trips per
@@ -259,65 +308,10 @@ func (m *Miner) runLevelSerial(ctl *runCtl, stats *Stats, spec levelSpec) error 
 //     tries to claim i and count it inline; it blocks only when a worker
 //     already owns i. On one core this degenerates to the serial schedule
 //     (near-zero stall); on many cores it adds a worker.
-func (m *Miner) runLevelParallel(ctl *runCtl, stats *Stats, spec levelSpec, sc counting.ShardCounter, workers int) error {
-	lp, cells0 := ctl.startLevel(spec)
+func (m *Miner) countPipelined(ctl *runCtl, lp *obs.LevelProf, sc counting.ShardCounter, kept []itemset.Set, plan counting.ShardPlan, workers int, eval func(itemset.Set, *contingency.Table)) error {
 	prof := lp != nil
-	var t0 time.Time
 	var a0 int64
-	if prof {
-		t0, a0 = time.Now(), obs.AllocBytes()
-	}
 	scr := &ctl.scratch
-
-	// Stage 1: pre-check over coarse spans, then an in-place compaction on
-	// this goroutine — the same left-to-right order as the serial path, so
-	// kept and Stats.PrunedByAM come out identical.
-	kept := spec.cands
-	if spec.pre != nil {
-		verdicts := scr.verdictBuf(len(spec.cands))
-		spans := evenSpans(len(spec.cands), workers*preSpansPerWorker)
-		runPool(workers, len(spans), func(i int) {
-			for j := spans[i][0]; j < spans[i][1]; j++ {
-				verdicts[j] = spec.pre(spec.cands[j])
-			}
-		})
-		kept = spec.cands[:0]
-		for j, c := range spec.cands {
-			switch verdicts[j] {
-			case keepSet:
-				kept = append(kept, c)
-			case dropSetAM:
-				stats.PrunedByAM++
-			}
-		}
-	}
-
-	// Settle the budget for the whole level before dispatching any
-	// counting — the same charge, the same trip point, and the same cause
-	// values the serial countBatchCtl produces.
-	for _, s := range kept {
-		ctl.cells += int64(1) << uint(s.Size())
-	}
-	if prof {
-		observePart(lp, obs.PhasePrecheck, time.Since(t0), obs.AllocBytes()-a0)
-	}
-	if len(kept) == 0 {
-		ctl.endLevel(lp, 0, cells0)
-		return nil
-	}
-	if cause := ctl.interrupted(stats); cause != nil {
-		ctl.endLevel(lp, len(kept), cells0)
-		return cause
-	}
-	stats.DBScans++
-	stats.SetsConsidered += len(kept)
-
-	plan := counting.CostModelOf(m.cnt).PlanShards(kept, workers)
-	if len(plan.Shards) <= 1 {
-		// The whole level is worth less than one shard budget: count it on
-		// this goroutine. The plan told us parallelism cannot pay here.
-		return m.finishLevelOneShard(ctl, stats, spec, sc, lp, cells0, kept, plan.Total)
-	}
 
 	// Stage 2: the pool counts shards costliest-first while this goroutine
 	// evaluates them in index order, claiming unstarted shards itself.
@@ -394,7 +388,7 @@ func (m *Miner) runLevelParallel(ctl *runCtl, stats *Stats, spec levelSpec, sc c
 
 	// The evaluator's time splits into stall (blocked on a worker-owned
 	// shard — the residual hand-off cost), count (shards it claimed and
-	// counted itself), and evaluate (spec.eval proper). Exactly one done
+	// counted itself), and evaluate (eval proper). Exactly one done
 	// token is sent per worker-claimed shard and received per evaluator
 	// CAS failure, so the cap-1 channels drain every level.
 	var stall, helpBusy, evalDur time.Duration
@@ -434,12 +428,12 @@ func (m *Miner) runLevelParallel(ctl *runCtl, stats *Stats, spec levelSpec, sc c
 		if prof {
 			te := time.Now()
 			for j := span[0]; j < span[1]; j++ {
-				spec.eval(kept[j], scr.tables[j])
+				eval(kept[j], scr.tables[j])
 			}
 			evalDur += time.Since(te)
 		} else {
 			for j := span[0]; j < span[1]; j++ {
-				spec.eval(kept[j], scr.tables[j])
+				eval(kept[j], scr.tables[j])
 			}
 		}
 	}
@@ -447,7 +441,7 @@ func (m *Miner) runLevelParallel(ctl *runCtl, stats *Stats, spec levelSpec, sc c
 	la.Commit()
 
 	// Per-shard metric sends batched to one pass after the barrier.
-	minedShards.With(spec.algo).Add(int64(nShards))
+	minedShards.With(ctl.algo).Add(int64(nShards))
 	for si := 0; si < nShards; si++ {
 		if scr.durs[si] > 0 {
 			shardSeconds.Observe(scr.durs[si].Seconds())
@@ -468,49 +462,7 @@ func (m *Miner) runLevelParallel(ctl *runCtl, stats *Stats, spec levelSpec, sc c
 			}
 		}
 	}
-	ctl.endLevel(lp, len(kept), cells0)
 	return firstErr
-}
-
-// finishLevelOneShard completes a level whose shard plan collapsed to a
-// single shard: pre-checks are done and the budget settled, so this is
-// the serial count-then-evaluate tail, profiled as one worker-0 shard.
-func (m *Miner) finishLevelOneShard(ctl *runCtl, stats *Stats, spec levelSpec, sc counting.ShardCounter, lp *obs.LevelProf, cells0 int64, kept []itemset.Set, cost int64) error {
-	prof := lp != nil
-	var sp *counting.ShardProf
-	var t0 time.Time
-	var a0 int64
-	cctx := ctl.ctx
-	if prof {
-		sp = &counting.ShardProf{}
-		cctx = counting.WithShardProf(cctx, sp)
-		t0, a0 = time.Now(), obs.AllocBytes()
-	}
-	tables, err := sc.CountShard(cctx, kept)
-	minedShards.With(spec.algo).Inc()
-	if prof {
-		d := time.Since(t0)
-		observePart(lp, obs.PhaseCount, d, obs.AllocBytes()-a0)
-		lp.AddShard(shardStat(0, d, cost, sp))
-		if d > 0 {
-			shardSeconds.Observe(d.Seconds())
-		}
-	}
-	if err != nil {
-		ctl.endLevel(lp, len(kept), cells0)
-		return err
-	}
-	if prof {
-		t0, a0 = time.Now(), obs.AllocBytes()
-	}
-	for i, t := range tables {
-		spec.eval(kept[i], t)
-	}
-	if prof {
-		observePart(lp, obs.PhaseEval, time.Since(t0), obs.AllocBytes()-a0)
-	}
-	ctl.endLevel(lp, len(kept), cells0)
-	return nil
 }
 
 // evenSpans splits [0, n) into at most parts contiguous, near-equal spans.

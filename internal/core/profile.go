@@ -14,7 +14,8 @@ import (
 //
 //   - candgen:  pairs/extend/extendAny between levels (ctl.candgen)
 //   - precheck: a level's anti-monotone screening stage
-//   - count:    counting on the mining goroutine (the serial path)
+//   - count:    counting on the mining goroutine (the one-shard path, and
+//     shards the parallel evaluator claims)
 //   - evaluate: chi-squared evaluation and answer collection
 //   - stall:    the parallel evaluator blocked on an unfinished shard
 //
@@ -43,27 +44,6 @@ var phaseSeconds = obs.Default().HistogramVec(MetricPhaseSeconds,
 // interleave their levels. A nil profile leaves profiling off.
 func WithProfile(p *obs.Profile) Option {
 	return func(cfg *minerConfig) { cfg.prof = p }
-}
-
-// startLevel opens per-level profiling for spec; cells0 snapshots the cell
-// charge so endLevel can attribute the level's delta. Returns (nil, 0)
-// when profiling is off.
-func (c *runCtl) startLevel(spec levelSpec) (*obs.LevelProf, int64) {
-	if c.prof == nil {
-		return nil, 0
-	}
-	return c.prof.StartLevel(spec.phase, spec.level, len(spec.cands)), c.cells
-}
-
-// endLevel commits a level's kept count, cell delta, and wall time
-// (no-op when lp is nil).
-func (c *runCtl) endLevel(lp *obs.LevelProf, kept int, cells0 int64) {
-	if lp == nil {
-		return
-	}
-	lp.SetKept(kept)
-	lp.AddCells(c.cells - cells0)
-	lp.End()
 }
 
 // observePart attributes d and alloc to one phase of lp and feeds the

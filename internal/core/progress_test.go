@@ -34,6 +34,20 @@ func TestProgressEventsEmitted(t *testing.T) {
 		}
 	}
 
+	// The baseline levels of BMS+ and BMS* carry the run's own name.
+	events = nil
+	if _, err := m.BMSPlus(q); err != nil {
+		t.Fatal(err)
+	}
+	if len(events) == 0 {
+		t.Fatalf("BMS+ emitted no progress")
+	}
+	for _, e := range events {
+		if e.Algorithm != "BMS+" {
+			t.Fatalf("BMS+ level labelled %q: %+v", e.Algorithm, e)
+		}
+	}
+
 	events = nil
 	if _, err := m.BMSPlusPlus(q, PlusPlusOptions{}); err != nil {
 		t.Fatal(err)
@@ -48,7 +62,10 @@ func TestProgressEventsEmitted(t *testing.T) {
 	}
 	sawSweep := false
 	for _, e := range events {
-		if e.Algorithm == "BMS*" && e.Phase == "sweep" {
+		if e.Algorithm != "BMS*" {
+			t.Fatalf("BMS* level labelled %q: %+v", e.Algorithm, e)
+		}
+		if e.Phase == "sweep" {
 			sawSweep = true
 		}
 	}

@@ -3,11 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"ccs/internal/constraint"
-	"ccs/internal/contingency"
-	"ccs/internal/itemset"
 )
 
 // BMSPlus computes VALIDMIN(Q) naively: run the unconstrained baseline and
@@ -22,26 +19,15 @@ func (m *Miner) BMSPlus(q *constraint.Conjunction) (*Result, error) {
 // truncation the filtered answers of the completed levels are returned
 // with Result.Truncated set.
 func (m *Miner) BMSPlusContext(ctx context.Context, q *constraint.Conjunction) (*Result, error) {
-	const algo = "bms+"
-	startMine(algo)
-	ctl, release := m.newCtl(ctx)
-	defer release()
-	out, err := m.runBaseline(ctl, algo)
-	if err != nil {
-		return nil, err
-	}
-	var answers []itemset.Set
-	for _, s := range out.sig {
-		if q.Satisfies(m.cat, s) {
-			answers = append(answers, s)
+	return m.run(ctx, "bms+", func(ctl *runCtl, res *Result) (cause, err error) {
+		sig, cause, err := m.minimalCorrelated(ctl, &res.Stats, nil, nil)
+		for _, s := range sig {
+			if q.Satisfies(m.cat, s) {
+				res.Answers = append(res.Answers, s)
+			}
 		}
-	}
-	res := &Result{Answers: answers, Stats: out.stats}
-	if out.cause != nil {
-		truncate(res, out.cause)
-	}
-	recordMine(algo, res, ctl)
-	return res, nil
+		return cause, err
+	})
 }
 
 // PlusPlusOptions configures BMSPlusPlus.
@@ -79,117 +65,23 @@ func (m *Miner) BMSPlusPlusContext(ctx context.Context, q *constraint.Conjunctio
 	if split.HasUnclassified() {
 		return nil, fmt.Errorf("core: BMS++ requires anti-monotone or monotone constraints; %d constraint(s) are neither", len(split.Other))
 	}
+	return m.run(ctx, "bms++", func(ctl *runCtl, res *Result) (cause, err error) {
+		res.Answers, cause, err = m.minimalCorrelated(ctl, &res.Stats, split, pushedWitness(split, opts.PushMonotoneSuccinct))
+		return cause, err
+	})
+}
 
-	const algo = "bms++"
-	startMine(algo)
-	ctl, release := m.newCtl(ctx)
-	defer release()
-	stats := Stats{}
-	amAllowed := split.AMMGF().Allowed
-
-	// Witness push (paper mode): only a single combined witness filter can
-	// be pushed into L1+ (footnote 5); with zero or several witness
-	// filters, every monotone succinct constraint is enforced on output.
-	var witness constraint.ItemFilter
-	if opts.PushMonotoneSuccinct {
-		if ws := split.MMGF().Witnesses; len(ws) == 1 {
-			witness = ws[0]
-		}
+// pushedWitness returns the witness filter the paper's Modification I
+// pushes into candidate generation when push is set. Only a single
+// combined witness filter can be pushed into L1+ (footnote 5); with zero
+// or several witness filters, every monotone succinct constraint is
+// enforced on output and pushedWitness returns nil.
+func pushedWitness(split *constraint.Split, push bool) constraint.ItemFilter {
+	if !push {
+		return nil
 	}
-
-	l1 := m.frequentItems(amAllowed)
-	var cands []itemset.Set
-	var relevant func(itemset.Set) bool
-	if witness != nil {
-		var plus, minus []itemset.Item
-		for _, i := range l1 {
-			if witness(m.cat.Info(i)) {
-				plus = append(plus, i)
-			} else {
-				minus = append(minus, i)
-			}
-		}
-		cands = ctl.candgen(func() []itemset.Set { return pairs(plus, minus) })
-		inPlus := make(map[itemset.Item]bool, len(plus))
-		for _, i := range plus {
-			inPlus[i] = true
-		}
-		relevant = func(s itemset.Set) bool {
-			for _, i := range s {
-				if inPlus[i] {
-					return true
-				}
-			}
-			return false
-		}
-	} else {
-		cands = ctl.candgen(func() []itemset.Set { return pairs(l1, nil) })
+	if ws := split.MMGF().Witnesses; len(ws) == 1 {
+		return ws[0]
 	}
-	stats.Candidates += len(cands)
-
-	notsig := itemset.NewRegistry()
-	var answers []itemset.Set
-	var cause error
-	for level := 2; len(cands) > 0 && level <= m.res.maxLevel; level++ {
-		if cause = ctl.interrupted(&stats); cause != nil {
-			break
-		}
-		stats.Levels++
-		levelStart := time.Now()
-		m.report("BMS++", "levelwise", level, len(cands))
-		var answersLevel, notsigLevel []itemset.Set
-		err := m.runLevel(ctl, &stats, levelSpec{
-			algo:  algo,
-			phase: "levelwise",
-			level: level,
-			cands: cands,
-			// Non-succinct anti-monotone constraints prune before counting:
-			// a failing set is invalid and so is every superset, and (AM
-			// closure again) no valid set has a pruned subset, so minimality
-			// detection is unaffected.
-			pre: func(c itemset.Set) shardVerdict {
-				if split.SatisfiesAMOther(m.cat, c) {
-					return keepSet
-				}
-				return dropSetAM
-			},
-			eval: func(s itemset.Set, t *contingency.Table) {
-				if !t.CTSupported(m.res.s, m.res.CTFraction) {
-					return
-				}
-				if m.correlated(&stats, t) {
-					// Correlated sets never enter NOTSIG, so supersets stay
-					// blocked even when the set fails a monotone constraint —
-					// that is what keeps the output minimal in the sense of
-					// Definition 1.
-					if split.SatisfiesM(m.cat, s) {
-						answersLevel = append(answersLevel, s)
-					}
-				} else {
-					notsigLevel = append(notsigLevel, s)
-				}
-			},
-		})
-		if err != nil {
-			if cause = ctl.truncation(err); cause != nil {
-				stats.endLevel(levelStart)
-				break
-			}
-			return nil, err
-		}
-		answers = append(answers, answersLevel...)
-		for _, s := range notsigLevel {
-			notsig.Add(s)
-		}
-		cands = ctl.candgen(func() []itemset.Set { return extend(notsigLevel, l1, relevant, notsig) })
-		stats.Candidates += len(cands)
-		stats.endLevel(levelStart)
-	}
-	itemset.SortSets(answers)
-	res := &Result{Answers: answers, Stats: stats}
-	if cause != nil {
-		truncate(res, cause)
-	}
-	recordMine(algo, res, ctl)
-	return res, nil
+	return nil
 }

@@ -120,12 +120,6 @@ func (b *BitmapCounter) NewLevelArenas(n int) *LevelArenas {
 	return la
 }
 
-// NewLevelArenas implements ArenaCounter by delegating to the shared
-// bitmap kernel (the arenas are a property of the cache, not the fan-out).
-func (p *ParallelCounter) NewLevelArenas(n int) *LevelArenas {
-	return p.inner.NewLevelArenas(n)
-}
-
 // CountShardArena implements ArenaCounter: it is CountShard writing its
 // tables into out (len(out) must equal len(sets); the caller owns the
 // buffer and may reuse it across levels) and probing arena instead of the
@@ -150,10 +144,4 @@ func (b *BitmapCounter) CountShardArena(ctx context.Context, sets []itemset.Set,
 		out[i] = t
 	}
 	return nil
-}
-
-// CountShardArena implements ArenaCounter by delegating to the inner
-// bitmap kernel without fanning out again (see CountShard).
-func (p *ParallelCounter) CountShardArena(ctx context.Context, sets []itemset.Set, out []*contingency.Table, arena *CacheArena) error {
-	return p.inner.CountShardArena(ctx, sets, out, arena)
 }

@@ -92,18 +92,6 @@ func BenchmarkCount(b *testing.B) {
 			}
 			reportCache(b, c.CacheStats())
 		})
-		b.Run(fmt.Sprintf("parallel-cached/level=%d", k), func(b *testing.B) {
-			c := NewParallelCounterCached(db, 0, DefaultCacheBytes)
-			defer c.ReleaseCache()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := c.CountTables(batch); err != nil {
-					b.Fatal(err)
-				}
-			}
-			reportCache(b, c.CacheStats())
-		})
 	}
 }
 
@@ -240,16 +228,6 @@ func BenchmarkCountCrossLevel(b *testing.B) {
 	})
 	b.Run("cached", func(b *testing.B) {
 		c := NewCachedBitmapCounter(db, DefaultCacheBytes)
-		defer c.ReleaseCache()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			walk(b, c)
-		}
-		reportCache(b, c.CacheStats())
-	})
-	b.Run("parallel-cached", func(b *testing.B) {
-		c := NewParallelCounterCached(db, 0, DefaultCacheBytes)
 		defer c.ReleaseCache()
 		b.ReportAllocs()
 		b.ResetTimer()

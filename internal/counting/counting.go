@@ -254,8 +254,7 @@ type BitmapCounter struct {
 	costm    CostModel    // per-item shard pricing, fixed at construction
 
 	// Work counters are atomic so concurrent CountShard callers (the
-	// mining core's level-engine workers, ParallelCounter's pool) never
-	// race on them.
+	// mining core's level-engine workers) never race on them.
 	batches     atomic.Int64
 	tablesBuilt atomic.Int64
 }
@@ -397,7 +396,7 @@ func (b *BitmapCounter) CountTablesContext(ctx context.Context, sets []itemset.S
 // countScratch is the reusable working state of one countOne call: the
 // per-mask intersection registers plus a free list of TID-lists recycled
 // across calls. It travels through a sync.Pool so concurrent callers
-// (ParallelCounter workers) each get their own arena without locking.
+// (the level engine's workers) each get their own arena without locking.
 type countScratch struct {
 	inter []tidlist.List // per-mask intersections; always written before read
 	owned []tidlist.List // materialized this call, recyclable unless cached

@@ -32,10 +32,9 @@ func TestCountersHonorPreCancelledContext(t *testing.T) {
 		t.Fatal(err)
 	}
 	counters := map[string]ContextCounter{
-		"scan":     NewScanCounter(db),
-		"bitmap":   NewBitmapCounter(db),
-		"parallel": NewParallelCounter(db, 4),
-		"disk":     disk,
+		"scan":   NewScanCounter(db),
+		"bitmap": NewBitmapCounter(db),
+		"disk":   disk,
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -59,7 +58,7 @@ func TestCountersBackgroundContextMatchesPlain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaCtx, err := NewParallelCounter(db, 3).CountTablesContext(context.Background(), sets)
+	viaCtx, err := NewScanCounter(db).CountTablesContext(context.Background(), sets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,14 +69,15 @@ func TestCountersBackgroundContextMatchesPlain(t *testing.T) {
 	}
 }
 
-// TestParallelCancelMidBatch cancels the context while the workers are
-// mid-batch. Run under -race this also proves the cancellation path is
-// free of data races. The cancel races the batch, so either outcome —
-// clean completion or context.Canceled — is legal; anything else is not.
+// TestParallelCancelMidBatch cancels the context while concurrent
+// CountShard callers are mid-batch. Run under -race this also proves the
+// cancellation path is free of data races. The cancel races the batch, so
+// either outcome — clean completion or context.Canceled — is legal;
+// anything else is not.
 func TestParallelCancelMidBatch(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	db := randomDB(r, 40, 400)
-	p := NewParallelCounter(db, 4)
+	c := NewBitmapCounter(db)
 	sets := batchOfPairs(40) // 780 sets: plenty of batch left to abandon
 	for round := 0; round < 5; round++ {
 		ctx, cancel := context.WithCancel(context.Background())
@@ -87,7 +87,7 @@ func TestParallelCancelMidBatch(t *testing.T) {
 			defer wg.Done()
 			cancel()
 		}()
-		tables, err := p.CountTablesContext(ctx, sets)
+		tables, err := countShards(ctx, c, sets, 4)
 		wg.Wait()
 		switch {
 		case err == nil:

@@ -18,9 +18,8 @@ func TestSetsCountedMetric(t *testing.T) {
 	reg := obs.Default()
 
 	engines := map[string]Counter{
-		"scan":     NewScanCounter(db),
-		"bitmap":   NewBitmapCounter(db),
-		"parallel": NewParallelCounter(db, 2),
+		"scan":   NewScanCounter(db),
+		"bitmap": NewBitmapCounter(db),
 	}
 	path := writeTempDB(t, db)
 	disk, err := NewDiskScanCounter(path)

@@ -11,9 +11,9 @@ import (
 // counted and how its prefix-cache lookups fared, including the wall time
 // spent inside cache get/put (the lock-contention component of counting).
 //
-// Fields are atomics because ParallelCounter fans a batch out across its
-// own workers, all sharing one context; the level engine's CountShard path
-// has one goroutine per ShardProf, where the atomics cost a few ns per set.
+// Fields are atomics so concurrent CountShard callers may share one
+// context, and with it one ShardProf; the level engine gives each shard
+// its own, where the atomics cost a few ns per set.
 // A nil *ShardProf disables collection — the counters take a pointer per
 // batch from the context (one allocation-free Value lookup) and guard every
 // tally on it, so the disabled path does no extra work and no extra

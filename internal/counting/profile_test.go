@@ -122,18 +122,17 @@ func TestShardProfCollects(t *testing.T) {
 	}
 }
 
-// TestShardProfParallelCounter checks the fan-out counter aggregates into
-// one shared ShardProf without losing counts (atomics, exercised under
-// -race by the suite).
-func TestShardProfParallelCounter(t *testing.T) {
+// TestShardProfConcurrentShards checks concurrent CountShard callers
+// sharing one context aggregate into its one ShardProf without losing
+// counts (atomics, exercised under -race by the suite).
+func TestShardProfConcurrentShards(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	db := randomDB(r, 30, 2000)
 	batch := prefixBatch(10, 3)
 
-	pc := NewParallelCounter(db, 8)
 	var prof ShardProf
 	ctx := WithShardProf(context.Background(), &prof)
-	tables, err := pc.CountTablesContext(ctx, batch)
+	tables, err := countShards(ctx, NewBitmapCounter(db), batch, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

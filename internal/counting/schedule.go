@@ -83,12 +83,6 @@ func buildCostModel(idx *dataset.VerticalIndex, numItems int) CostModel {
 	return m
 }
 
-// CostModel implements CostModeler by delegating to the inner bitmap
-// kernel, whose index does the actual intersecting.
-func (p *ParallelCounter) CostModel() CostModel {
-	return p.inner.CostModel()
-}
-
 // setWords is the unit intersection cost of one candidate: the smallest of
 // its items' column sizes. An intersection's work is bounded by its
 // smallest operand — the mask walk ANDs into an accumulator that starts as
@@ -142,10 +136,9 @@ func (m CostModel) runCost(sets []itemset.Set, lo, hi int) int64 {
 }
 
 // BatchCost estimates the total counting cost of a canonical batch in
-// word-operations, pricing each prefix run with runCost. The same estimate
-// drives the serial fold-in of ParallelCounter (a batch below
-// MinShardCost is counted inline — no goroutines) and the level engine's
-// decision to shard at all.
+// word-operations, pricing each prefix run with runCost — the estimate
+// PlanShards totals when it decides whether a level is worth sharding at
+// all (a batch below MinShardCost is one shard, counted inline).
 func (m CostModel) BatchCost(sets []itemset.Set) int64 {
 	var total int64
 	for _, r := range PrefixRuns(sets) {
@@ -245,6 +238,43 @@ func (m CostModel) PlanShards(sets []itemset.Set, workers int) ShardPlan {
 		return plan.Order[a] < plan.Order[b]
 	})
 	return plan
+}
+
+// PrefixRuns splits [0, len(sets)) into half-open index spans of adjacent
+// sets that share their full prefix (all items but the last). Sets of
+// different sizes, or with any differing prefix item, break the run. The
+// batch must be in canonical order (itemset.SortSets) for the runs to be
+// exactly the sibling groups; PlanShards cuts shards only along these
+// runs so the worker that caches a prefix TID-list is the worker that
+// reuses it.
+func PrefixRuns(sets []itemset.Set) [][2]int {
+	runs := make([][2]int, 0, len(sets))
+	start := 0
+	for i := 1; i < len(sets); i++ {
+		if !samePrefixSet(sets[start], sets[i]) {
+			runs = append(runs, [2]int{start, i})
+			start = i
+		}
+	}
+	if len(sets) > 0 {
+		runs = append(runs, [2]int{start, len(sets)})
+	}
+	return runs
+}
+
+// samePrefixSet reports whether a and b have equal size and agree on every
+// item but the last. Singletons share only the empty prefix, so they never
+// group — grouping them would serialize a level-1 batch for no reuse.
+func samePrefixSet(a, b itemset.Set) bool {
+	if len(a) != len(b) || len(a) < 2 {
+		return false
+	}
+	for i := 0; i < len(a)-1; i++ {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // PlanShards plans with the uniform dense model — the historical entry

@@ -140,7 +140,7 @@ func (p *Profile) StartLevel(phase string, level, candidates int) *LevelProf {
 	if p == nil {
 		return nil
 	}
-	lp := &LevelProf{phase: phase, level: level, candidates: candidates, start: time.Now()}
+	lp := &LevelProf{phase: phase, level: level, candidates: candidates}
 	p.mu.Lock()
 	p.levels = append(p.levels, lp)
 	p.mu.Unlock()
@@ -199,7 +199,6 @@ type LevelProf struct {
 	level      int
 	candidates int
 	kept       int
-	start      time.Time
 	wall       time.Duration
 	precheck   time.Duration
 	count      time.Duration
@@ -229,17 +228,12 @@ func (l *LevelProf) AddPart(phase string, d time.Duration, allocBytes int64) {
 	l.alloc += allocBytes
 }
 
-// SetKept records how many candidates survived the pre-checks.
-func (l *LevelProf) SetKept(n int) {
+// Finish closes the level with the level record's kept count, cell
+// charge and wall-clock window, so the profile reports the same window as
+// every other per-level surface.
+func (l *LevelProf) Finish(kept int, cells int64, wall time.Duration) {
 	if l != nil {
-		l.kept = n
-	}
-}
-
-// AddCells adds contingency cells charged by this level.
-func (l *LevelProf) AddCells(n int64) {
-	if l != nil {
-		l.cells += n
+		l.kept, l.cells, l.wall = kept, cells, wall
 	}
 }
 
@@ -247,13 +241,6 @@ func (l *LevelProf) AddCells(n int64) {
 func (l *LevelProf) AddShard(s ShardStat) {
 	if l != nil {
 		l.shardStats = append(l.shardStats, s)
-	}
-}
-
-// End stamps the level's wall time.
-func (l *LevelProf) End() {
-	if l != nil {
-		l.wall = time.Since(l.start)
 	}
 }
 

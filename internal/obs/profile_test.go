@@ -24,10 +24,8 @@ func TestProfileNilSafe(t *testing.T) {
 		t.Fatal("nil profile returned a non-nil level")
 	}
 	lp.AddPart(PhaseCount, time.Second, 64)
-	lp.SetKept(5)
-	lp.AddCells(10)
 	lp.AddShard(ShardStat{Worker: 1})
-	lp.End()
+	lp.Finish(5, 10, time.Second)
 	if rec := p.Record(); rec != nil {
 		t.Errorf("nil profile Record() = %+v, want nil", rec)
 	}
@@ -45,11 +43,9 @@ func TestProfileRecordMath(t *testing.T) {
 	lp.AddPart(PhasePrecheck, 1*time.Millisecond, 0)
 	lp.AddPart(PhaseStall, 3*time.Millisecond, 0)
 	lp.AddPart(PhaseEval, 6*time.Millisecond, 512)
-	lp.SetKept(80)
-	lp.AddCells(400)
 	lp.AddShard(ShardStat{Worker: 0, Sets: 50, Cells: 200, Seconds: 0.004, CacheHits: 10, CacheMisses: 40})
 	lp.AddShard(ShardStat{Worker: 1, Sets: 50, Cells: 200, Seconds: 0.005, CacheHits: 30, CacheMisses: 10})
-	lp.End()
+	lp.Finish(80, 400, 10*time.Millisecond)
 	p.AddWorker(0, 4*time.Millisecond, 1)
 	p.AddWorker(1, 5*time.Millisecond, 1)
 	p.Finish()
@@ -173,7 +169,7 @@ func TestProfileConcurrent(t *testing.T) {
 				p.AddWorker(w, time.Microsecond, 1)
 				lp := p.StartLevel("levelwise", i, 1)
 				lp.AddPart(PhaseEval, time.Microsecond, 0)
-				lp.End()
+				lp.Finish(1, 0, time.Microsecond)
 			}
 		}(w)
 	}

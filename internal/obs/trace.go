@@ -34,7 +34,7 @@ func Float(key string, value float64) Attr {
 // timed spans — into a bounded in-memory ring so the level-by-level
 // timeline of a recent slow query can be inspected after the fact. A nil
 // *Tracer is a valid no-op tracer: Start returns a nil *Trace whose
-// methods (and its spans') all no-op, so call sites never branch.
+// methods all no-op, so call sites never branch.
 type Tracer struct {
 	mu     sync.Mutex
 	cap    int
@@ -64,12 +64,11 @@ type Trace struct {
 	attrs []Attr
 	start time.Time
 	end   time.Time
-	spans []*Span
+	spans []span
 }
 
-// Span is one timed phase inside a trace.
-type Span struct {
-	mu    sync.Mutex
+// span is one timed phase inside a trace, immutable once recorded.
+type span struct {
 	name  string
 	attrs []Attr
 	start time.Time
@@ -107,37 +106,20 @@ func (tr *Trace) SetAttr(key, value string) {
 	tr.mu.Unlock()
 }
 
-// StartSpan opens a new span inside the trace. Spans may overlap; End
-// closes one. Spans still open when the trace finishes are closed at the
-// trace's end time.
-func (tr *Trace) StartSpan(name string, attrs ...Attr) *Span {
+// AddSpan records a finished span with explicit start and end times, so
+// a phase timed elsewhere — such as one of the mining core's level
+// records — is reported with exactly the window its source measured.
+func (tr *Trace) AddSpan(name string, start, end time.Time, attrs ...Attr) {
 	if tr == nil {
-		return nil
-	}
-	sp := &Span{name: name, attrs: attrs, start: time.Now()}
-	tr.mu.Lock()
-	tr.spans = append(tr.spans, sp)
-	tr.mu.Unlock()
-	return sp
-}
-
-// End closes the span; extra attributes are appended. Ending twice keeps
-// the first end time.
-func (sp *Span) End(attrs ...Attr) {
-	if sp == nil {
 		return
 	}
-	sp.mu.Lock()
-	if sp.end.IsZero() {
-		sp.end = time.Now()
-	}
-	sp.attrs = append(sp.attrs, attrs...)
-	sp.mu.Unlock()
+	tr.mu.Lock()
+	tr.spans = append(tr.spans, span{name: name, attrs: attrs, start: start, end: end})
+	tr.mu.Unlock()
 }
 
-// Finish closes the trace (closing any spans still open at the same
-// instant) and publishes it into the tracer's ring, evicting the oldest
-// trace past capacity.
+// Finish closes the trace and publishes it into the tracer's ring,
+// evicting the oldest trace past capacity.
 func (tr *Trace) Finish(attrs ...Attr) {
 	if tr == nil {
 		return
@@ -147,13 +129,6 @@ func (tr *Trace) Finish(attrs ...Attr) {
 		tr.end = time.Now()
 	}
 	tr.attrs = append(tr.attrs, attrs...)
-	for _, sp := range tr.spans {
-		sp.mu.Lock()
-		if sp.end.IsZero() {
-			sp.end = tr.end
-		}
-		sp.mu.Unlock()
-	}
 	tr.mu.Unlock()
 
 	t := tr.tracer
@@ -212,14 +187,12 @@ func (tr *Trace) record() TraceRecord {
 		Attrs:           attrMap(tr.attrs),
 	}
 	for _, sp := range tr.spans {
-		sp.mu.Lock()
 		rec.Spans = append(rec.Spans, SpanRecord{
 			Name:            sp.name,
 			OffsetSeconds:   sp.start.Sub(tr.start).Seconds(),
 			DurationSeconds: sp.end.Sub(sp.start).Seconds(),
 			Attrs:           attrMap(sp.attrs),
 		})
-		sp.mu.Unlock()
 	}
 	return rec
 }

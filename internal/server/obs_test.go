@@ -105,6 +105,59 @@ func TestMineLevelSecondsSurfaced(t *testing.T) {
 	}
 }
 
+// TestMineLevelSurfacesAgree checks that a profiled /v1/mine reports one
+// window per counted level on all three of its per-level surfaces:
+// level_seconds, the profile's level records and the trace's level spans
+// carry the same durations, exactly. BMS** also records uncounted "chi"
+// levels (evaluation of stored tables); those appear in the profile and
+// the trace but not in stats.levels or level_seconds.
+func TestMineLevelSurfacesAgree(t *testing.T) {
+	s, srv, _ := obsServer(t)
+	for _, algo := range []string{"bms", "bms**"} {
+		resp, body := doJSON(t, http.MethodPost, srv.URL+"/v1/mine", MineRequest{
+			Dataset: "d", Algo: algo, Query: "sum(price) >= 1", CellSupportFrac: 0.05, MaxLevel: 4, Profile: true,
+		})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: mine: %d %s", algo, resp.StatusCode, body)
+		}
+		var mr MineResponse
+		if err := json.Unmarshal(body, &mr); err != nil {
+			t.Fatal(err)
+		}
+		if mr.Stats.Levels == 0 || mr.Profile == nil {
+			t.Fatalf("%s: no levels or no profile: %s", algo, body)
+		}
+		if len(mr.LevelSeconds) != mr.Stats.Levels {
+			t.Fatalf("%s: level_seconds has %d entries, stats.levels = %d", algo, len(mr.LevelSeconds), mr.Stats.Levels)
+		}
+		var profSecs []float64
+		for _, lv := range mr.Profile.Levels {
+			if lv.Phase != "chi" {
+				profSecs = append(profSecs, lv.Seconds)
+			}
+		}
+		tr := s.tracer.Snapshot()[0]
+		var spanSecs []float64
+		for _, sp := range tr.Spans {
+			if sp.Name != "setup" && !strings.HasPrefix(sp.Name, "chi ") {
+				spanSecs = append(spanSecs, sp.DurationSeconds)
+			}
+		}
+		if len(profSecs) != mr.Stats.Levels || len(spanSecs) != mr.Stats.Levels {
+			t.Fatalf("%s: %d counted profile levels, %d level spans, %d levels",
+				algo, len(profSecs), len(spanSecs), mr.Stats.Levels)
+		}
+		if len(mr.Profile.Levels) != len(tr.Spans)-1 {
+			t.Errorf("%s: %d profile levels but %d level spans", algo, len(mr.Profile.Levels), len(tr.Spans)-1)
+		}
+		for i, d := range mr.LevelSeconds {
+			if profSecs[i] != d || spanSecs[i] != d {
+				t.Errorf("%s: level %d: level_seconds %v, profile %v, trace span %v", algo, i, d, profSecs[i], spanSecs[i])
+			}
+		}
+	}
+}
+
 // TestRequestLogLine checks the structured request log: one JSON line per
 // request with id, route, status, and duration; truncated mines carry the
 // cause.

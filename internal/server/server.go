@@ -533,9 +533,10 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 		stage = info.stage
 	}
 
-	// Trace the request: one span per mining phase/level, driven by the
-	// core's progress events. Spans chain contiguously — each event ends
-	// the previous span — so their durations sum to the trace duration.
+	// Trace the request: a setup span up to the first level, then one span
+	// per level record from the core's progress observer, carrying the
+	// record's exact window — the same duration the reply reports in
+	// level_seconds and the profile in its level records.
 	traceAttrs := []obs.Attr{
 		obs.String("dataset", req.Dataset),
 		obs.String("algo", algo),
@@ -548,13 +549,22 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 			obs.Int("shed_stage", info.stage))
 	}
 	tr := s.tracer.Start("mine", traceAttrs...)
-	span := tr.StartSpan("setup")
+	setupStart := time.Now()
+	setupDone := false
+	// finishTrace publishes the trace; a request that never reached a
+	// level gets its setup span here, so every mine trace has one.
+	finishTrace := func(attrs ...obs.Attr) {
+		if !setupDone {
+			tr.AddSpan("setup", setupStart, time.Now())
+		}
+		tr.Finish(attrs...)
+	}
 
 	backend := s.backend
 	if req.Backend != "" {
 		b, err := tidlist.ParseBackend(req.Backend)
 		if err != nil {
-			tr.Finish(obs.String("outcome", "error"))
+			finishTrace(obs.String("outcome", "error"))
 			s.writeError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
@@ -602,14 +612,17 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 		opts = append(opts, core.WithProfile(prof))
 	}
 	opts = append(opts, core.WithProgress(func(ev core.ProgressEvent) {
-		span.End()
-		span = tr.StartSpan(fmt.Sprintf("%s %d", ev.Phase, ev.Level),
+		if !setupDone {
+			tr.AddSpan("setup", setupStart, ev.Start)
+			setupDone = true
+		}
+		tr.AddSpan(fmt.Sprintf("%s %d", ev.Phase, ev.Level), ev.Start, ev.Start.Add(ev.Duration),
 			obs.String("algo", ev.Algorithm),
 			obs.Int("candidates", ev.Candidates))
 	}))
 	m, err := core.New(db, params, opts...)
 	if err != nil {
-		tr.Finish(obs.String("outcome", "error"))
+		finishTrace(obs.String("outcome", "error"))
 		s.writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
@@ -641,13 +654,12 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 	case "bms**":
 		res, err = m.BMSStarStarContext(ctx, q, core.StarStarOptions{PushMonotoneSuccinct: req.Push})
 	default:
-		tr.Finish(obs.String("outcome", "error"))
+		finishTrace(obs.String("outcome", "error"))
 		s.writeError(w, http.StatusBadRequest, "unknown algorithm %q", req.Algo)
 		return
 	}
-	span.End()
 	if err != nil {
-		tr.Finish(obs.String("outcome", "error"))
+		finishTrace(obs.String("outcome", "error"))
 		s.writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
@@ -661,7 +673,7 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 		outcome = "truncated"
 		noteTruncation(r.Context(), truncationCause(res.Cause))
 	}
-	tr.Finish(obs.String("outcome", outcome), obs.Int("answers", len(res.Answers)))
+	finishTrace(obs.String("outcome", outcome), obs.Int("answers", len(res.Answers)))
 	resp := MineResponse{
 		Query:          q.String(),
 		Answers:        make([][]uint32, len(res.Answers)),
